@@ -27,6 +27,7 @@ from fractions import Fraction
 from .errors import InvarianceError, ModeError, ValidationError
 from .diffops import (EulerFactor, EulerOperatorExpr, EulerTerm, apply_poly,
                       operator_l, total_theta_factor)
+from .params import check_shape
 from .rings import CycloScalar, GaussianRational, MPoly, rank_exact
 from .singular import evaluate_R_x
 
@@ -52,6 +53,9 @@ class SpecializedPoint:
 
 def specialize(p, m, z):
     """Certify flags for an exact point z (rationals or Gaussian rationals)."""
+    check_shape(p, m)
+    if len(z) != m:
+        raise ValidationError(f"point arity {len(z)} != m={m}")
     zt = []
     for v in z:
         if isinstance(v, GaussianRational):
@@ -201,20 +205,13 @@ def monomials_of_degree(m, d):
 
 
 def _macaulay_rank(gens, m, d, gen_degree):
-    """Rank of {xi^beta g : g in gens, |beta| = d - deg} in degree d."""
-    cols = monomials_of_degree(m, d)
-    index = {exp: i for i, exp in enumerate(cols)}
-    rows = []
-    for g in gens:
-        for beta in monomials_of_degree(m, d - gen_degree):
-            row = [Fraction(0)] * len(cols)
-            for exp, c in g.terms.items():
-                tgt = tuple(a + b for a, b in zip(exp, beta))
-                row[index[tgt]] = c
-            rows.append(row)
-    if not rows:
-        return 0
-    return rank_exact(rows)
+    """Rank of the sparse rows {column of exp + beta: coefficient} of the
+    shifts xi^beta g, g in gens, |beta| = d - deg, in degree d."""
+    index = {exp: i for i, exp in enumerate(monomials_of_degree(m, d))}
+    shifts = monomials_of_degree(m, d - gen_degree)
+    return rank_exact([{index[tuple(a + b for a, b in zip(exp, beta))]: c
+                        for exp, c in g.terms.items()}
+                       for g in gens for beta in shifts])
 
 
 def _quotient_dims(gens, p, m, d_max):

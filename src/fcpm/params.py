@@ -72,6 +72,12 @@ def _is_integer(v, mode):
             and abs(c.real - round(c.real)) <= FLOAT_HEURISTIC_TOL)
 
 
+def check_shape(p, m):
+    """Raise ValidationError unless p >= 2 and m >= 1 are integers."""
+    if not (isinstance(p, int) and isinstance(m, int) and p >= 2 and m >= 1):
+        raise ValidationError(f"need integers p >= 2 and m >= 1, got p={p}, m={m}")
+
+
 @dataclass(frozen=True)
 class ParameterSet:
     """Parameters (a, B) with a fixed scalar mode.
@@ -88,10 +94,7 @@ class ParameterSet:
     mode: str = EXACT
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValidationError("p must be >= 2")
-        if self.m < 1:
-            raise ValidationError("m must be >= 1")
+        check_shape(self.p, self.m)
         if len(self.a) != self.p:
             raise ValidationError(f"a has length {len(self.a)}, expected p={self.p}")
         if len(self.B) != self.p or any(len(row) != self.m for row in self.B):

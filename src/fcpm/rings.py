@@ -36,12 +36,6 @@ def format_rational(q):
     return f"{q.numerator}/{q.denominator}"
 
 
-def height(q):
-    """Bit size proxy used for pivot selection: max(|num|, den)."""
-    q = Fraction(q)
-    return max(abs(q.numerator), q.denominator)
-
-
 class GaussianRational:
     """Exact complex number with rational real and imaginary parts.
 
@@ -138,10 +132,6 @@ def exact_abs(v):
 
 def to_complex(v):
     """Best-effort conversion of any scalar this package produces to complex."""
-    if isinstance(v, GaussianRational):
-        return complex(v)
-    if isinstance(v, Fraction):
-        return complex(v)
     return complex(v)
 
 
@@ -493,51 +483,60 @@ def _nonzero(c):
 # ---------------------------------------------------------------------------
 # exact linear algebra
 
-def _entry_height(v):
-    if isinstance(v, GaussianRational):
-        return max(height(v.re), height(v.im))
-    return height(v)
-
-
 def rank_exact(rows, ncols=None):
-    """Rank over Q or Q(i) by exact Gaussian elimination.
+    """Rank over Q or Q(i) by sparse fraction-free elimination over Z.
 
-    Entries are Fractions or GaussianRationals. Pivot selection prefers
-    entries of small height to slow down coefficient blowup. Rows may be
-    ragged only if ncols is given (missing entries read as 0).
+    Rows are dense sequences of exact scalars, ragged only if ncols is
+    given (missing entries read as 0), or sparse maps {column: scalar}.
+    If any entry is a GaussianRational, each row v is replaced by the real
+    and imaginary parts of v and of i*v, which span over Q what v spans
+    over Q(i), so the rank over Q is twice the rank over Q(i). Each row is
+    then scaled by the lcm of its denominators to integers.
     """
-    if not rows:
-        return 0
-    if ncols is None:
-        ncols = len(rows[0])
-    work = [[(r[j] if j < len(r) else Fraction(0)) for j in range(ncols)]
-            for r in rows]
+    rows = [r if isinstance(r, dict) else dict(enumerate(r[:ncols])) for r in rows]
+    gaussian = any(isinstance(v, GaussianRational) for r in rows for v in r.values())
+    if gaussian:
+        rows = [{2 * j + k: w for j, v in r.items() for uv in (u * v,)
+                 for k, w in enumerate((uv.re, uv.im))}
+                for r in rows for u in (GaussianRational(1), GaussianRational(0, 1))]
+    work = []
+    for r in rows:
+        lcm = math.lcm(*(v.denominator for v in r.values()))
+        work.append({j: v.numerator * (lcm // v.denominator) for j, v in r.items() if v})
+    return _rank_integer(work) // (1 + gaussian)
+
+
+def _rank_integer(rows):
+    """Rank of sparse integer rows {column: int}, eliminating columns in order.
+
+    Rows wait in buckets keyed by their leading column. A column's pivot is
+    its row with the smallest |entry|, then fewest entries; every other row
+    r there becomes (pv/g) r - (v/g) pivot, g = gcd(pv, v), without its
+    zero entries and divided by the gcd of its entries.
+    """
+    buckets = {}
+    for r in filter(None, rows):
+        buckets.setdefault(min(r), []).append(r)
     rank = 0
-    for col in range(ncols):
-        pivot = None
-        best = None
-        for i in range(rank, len(work)):
-            v = work[i][col]
-            if v:
-                h = _entry_height(v)
-                if best is None or h < best:
-                    best = h
-                    pivot = i
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        prow = work[rank]
-        for i in range(rank + 1, len(work)):
-            v = work[i][col]
-            if v:
-                f = v / pv
-                row = work[i]
-                for j in range(col, ncols):
-                    row[j] = row[j] - f * prow[j]
+    while buckets:
+        col = min(buckets)
+        group = buckets.pop(col)
+        pivot = min(group, key=lambda r: (abs(r[col]), len(r)))
+        pv = pivot.pop(col)
         rank += 1
-        if rank == len(work):
-            break
+        for r in group:
+            if r is not pivot:
+                v = r.pop(col)
+                g = math.gcd(pv, v)
+                a, b = pv // g, v // g
+                r = {j: a * x for j, x in r.items()}
+                for j, y in pivot.items():
+                    r[j] = r.get(j, 0) - b * y
+                r = {j: x for j, x in r.items() if x}
+                if r:
+                    c = math.gcd(*r.values())
+                    buckets.setdefault(min(r), []).append(
+                        {j: x // c for j, x in r.items()} if c > 1 else r)
     return rank
 
 

@@ -17,8 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvarianceError
+from .params import check_shape
 from .rings import (CycloScalar, GaussianRational, MPoly, cyclo_reduce,
-                    cyclotomic_polynomial, format_rational, to_complex)
+                    cyclotomic_polynomial, format_rational)
 
 __all__ = ["CycloScalar", "cyclo_reduce", "cyclotomic_polynomial",
            "build_R_z", "build_R_x", "on_singular_locus", "evaluate_R_x",
@@ -33,8 +34,7 @@ def build_R_z(p, m):
     every coefficient is a rational integer and every exponent vector has
     all entries divisible by p.
     """
-    if p < 2 or m < 1:
-        raise ValueError("need p >= 2, m >= 1")
+    check_shape(p, m)
     one = CycloScalar.one(p)
     acc = MPoly.const(m, one)
     zero_exp = (0,) * m

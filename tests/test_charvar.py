@@ -11,7 +11,7 @@ from fcpm.charvar import (INFINITE, L_symbol, c_chi, default_dmax,
                           specialize, symbols)
 from fcpm.errors import ModeError, ValidationError
 from fcpm.params import parameter_set, random_generic_parameters
-from fcpm.rings import MPoly
+from fcpm.rings import GaussianRational as G, MPoly
 from fcpm.singular import on_singular_locus
 
 F = Fraction
@@ -211,6 +211,25 @@ def test_rank_drop_on_singular_points():
         for seed in range(3):
             z = random_singular_point(p, m, random.Random(50 * p + seed))
             assert rank_at(p, m, z).drop, (p, m, z)
+
+
+@pytest.mark.parametrize("p, m, z, H", [
+    (3, 3, (F(1, 3), F(1, 5), F(1, 7)), (1, 3, 6, 7, 6, 3, 1, 0, 0, 0)),
+    (3, 3, (F(1, 2), F(1, 3), F(1, 6)), (1, 3, 6, 7, 6, 3, 1, 1, 1, 1)),
+    (2, 4, (F(1, 3), F(1, 5), F(1, 7), F(1, 11)), (1, 4, 6, 4, 1, 0, 0)),
+    # on the factor 1 - z1 + z2 - z3 - z4 of R
+    (2, 4, (F(1, 2), F(1, 3), F(1, 5), F(19, 30)), (1, 4, 6, 4, 1, 1, 1)),
+    # Gaussian points: the Macaulay rows are ranked over Q(i)
+    (2, 2, (G(F(1, 3), F(1, 2)), G(F(1, 5), F(-1, 7))), (1, 2, 1, 0, 0)),
+    (2, 2, (G(F(1, 2), F(1, 3)), G(F(1, 2), F(-1, 3))), (1, 2, 1, 1, 1)),
+    (3, 2, (G(F(1, 3), F(1, 2)), F(1, 5)), (1, 2, 3, 2, 1, 0, 0, 0)),
+])
+def test_rank_at_pinned_hilbert(p, m, z, H):
+    r = rank_at(p, m, z)
+    assert r.H == H
+    drop = H[-1] > 0
+    assert r.drop == drop
+    assert r.rank == (INFINITE if drop else p ** m)
 
 
 def test_monomials_of_degree_count():

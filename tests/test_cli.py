@@ -5,6 +5,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 from fcpm import charvar, cli, series, singular
 from fcpm.params import random_generic_parameters
 
@@ -56,6 +58,21 @@ def test_rank_check_rejects_axis_point():
     assert code == 2
     assert env["result"] is None
     assert any("coordinate axis" in w for w in env["diagnostics"]["warnings"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rank-check", "--p", "1", "--m", "2", "--z", "[1/2,1/3]"], "p >= 2"),
+    (["rank-check", "--p", "2", "--m", "2", "--z", "[1/2]"], "point arity 1 != m=2"),
+    (["singular-poly", "--p", "2"], "m >= 1"),
+])
+def test_shape_errors_are_validation_errors(argv, message, capsys):
+    code = cli.run(argv)
+    assert code == 2
+    env = json.loads(capsys.readouterr().out)
+    assert env["command"]["name"] == argv[0]
+    assert env["result"] is None
+    assert any(w.startswith("ValidationError") and message in w
+               for w in env["diagnostics"]["warnings"])
 
 
 def test_eval_with_params_file(tmp_path):

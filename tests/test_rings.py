@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fcpm.rings import (CycloScalar, GaussianRational, MPoly, charpoly_exact,
                         cyclo_reduce, cyclotomic_polynomial, exact_abs,
-                        format_rational, height, is_integer_rational,
+                        format_rational, is_integer_rational,
                         parse_rational, rank_exact, to_complex)
 
 
@@ -24,8 +27,7 @@ def test_parse_rational_rejects_garbage():
         parse_rational("one half")
 
 
-def test_height_and_is_integer():
-    assert height(Fraction(22, 7)) == 22
+def test_is_integer_rational():
     assert is_integer_rational(Fraction(4, 2))
     assert not is_integer_rational(Fraction(1, 2))
     assert is_integer_rational(GaussianRational(3, 0))
@@ -208,6 +210,83 @@ def test_rank_exact_random_vs_float():
         import numpy as np
         fl = np.linalg.matrix_rank(np.array([[float(v) for v in r] for r in rows]))
         assert rank_exact(rows) == fl
+
+
+BIG = 10 ** 30
+_rationals = st.builds(Fraction,
+                       st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG)),
+                       st.one_of(st.integers(1, 9), st.integers(1, BIG)))
+_zero = st.just(Fraction(0))
+RATIONAL = (st.one_of(_zero, _zero, _rationals), st.integers(-5, 5), Fraction(0))
+GAUSSIAN = (st.one_of(_zero, _zero, st.builds(GaussianRational, _rationals, _rationals)),
+            st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3)),
+            GaussianRational(0, 0))
+
+
+@st.composite
+def planted_matrices(draw, kind):
+    """(ncols, rows): random sparse rows plus planted dependent rows.
+
+    Planted rows are repeats, integer (or Gaussian integer) combinations of
+    earlier rows, zero rows and, over Q(i), i times an earlier row, which
+    lowers the rank over Q(i) but not the rank of the real and imaginary
+    parts over Q. Rows are shuffled so dependents are not always last.
+    """
+    entries, multipliers, zero = kind
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         max_size=5))
+    kinds = ["repeat", "combo", "zero"]
+    if isinstance(zero, GaussianRational):
+        kinds.append("times_i")
+    for _ in range(draw(st.integers(0, 4))):
+        how = draw(st.sampled_from(kinds))
+        if how == "zero" or not rows:
+            rows.append([zero] * ncols)
+        elif how == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif how == "times_i":
+            rows.append([v * GaussianRational(0, 1) for v in draw(st.sampled_from(rows))])
+        else:
+            cs = draw(st.lists(multipliers, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum((c * r[j] for c, r in zip(cs, rows)), zero)
+                         for j in range(ncols)])
+    order = draw(st.permutations(range(len(rows))))
+    return ncols, [rows[i] for i in order]
+
+
+def _sympy_rank(rows, ncols):
+    def conv(v):
+        v = GaussianRational.coerce(v)
+        return sympy.Rational(v.re.numerator, v.re.denominator) + \
+            sympy.I * sympy.Rational(v.im.numerator, v.im.denominator)
+    return sympy.Matrix(len(rows), ncols, [conv(v) for r in rows for v in r]).rank()
+
+
+def _check_rank_forms(ncols, rows, cut):
+    want = _sympy_rank(rows, ncols)
+    assert rank_exact(rows, ncols) == want
+    # ragged rows: trailing entries dropped, missing entries read as 0
+    ragged = [r[:c] if not any(r[c:]) else r for r, c in zip(rows, cut)]
+    assert rank_exact(ragged, ncols) == want
+    # sparse {column: entry} rows
+    assert rank_exact([{j: v for j, v in enumerate(r) if v} for r in rows]) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_matrices(RATIONAL), st.lists(st.integers(0, 6), min_size=9, max_size=9))
+@example((3, []), [0] * 9)
+@example((3, [[Fraction(0)] * 3] * 4), [0] * 9)
+def test_rank_exact_matches_sympy_rational(matrix, cut):
+    _check_rank_forms(*matrix, cut)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_matrices(GAUSSIAN), st.lists(st.integers(0, 6), min_size=9, max_size=9))
+@example((2, [[GaussianRational(1, 0), GaussianRational(2, 0)],
+              [GaussianRational(0, 1), GaussianRational(0, 2)]]), [2] * 9)
+def test_rank_exact_matches_sympy_gaussian(matrix, cut):
+    _check_rank_forms(*matrix, cut)
 
 
 def test_charpoly_exact_known():
