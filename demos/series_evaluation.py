@@ -29,8 +29,8 @@ print("in domain         :", series.in_domain(x, ps2.p))
 res2 = series.evaluate(ps2, x)
 print("value             :", res2.value)
 
-# exact coefficients are rationals; the table freezes everything up to a
-# total degree at once
+# exact coefficients are rationals; the table holds every A_n up to a total
+# degree, computed shell by shell
 table = series.series_table(ps2, 3)
 for n in sorted(table.coeffs):
     print("A", tuple(n), "=", table[n])

@@ -17,19 +17,16 @@ Layers:
 from .errors import (BranchError, ConvergenceError, DomainError, FcpmError,
                      InvarianceError, ModeError, PoleError, ValidationError)
 from .params import (EXACT, FLOAT, GenericityReport, ParameterSet,
-                     ReflectionData, SolutionLabel, all_labels,
-                     check_nonintegrality, eta, eta_via_reflection, mu_table,
-                     parameter_set, parameters_from_json,
-                     random_generic_parameters, reflection_data,
-                     require_generic, solution_exponents,
-                     transform_parameters, validate)
+                     SolutionLabel, all_labels, check_nonintegrality, eta,
+                     mu_table, parameter_set, parameters_from_json,
+                     random_generic_parameters, require_generic,
+                     solution_exponents, transform_parameters, validate)
 from .rings import (CycloScalar, GaussianRational, MPoly,
                     cyclotomic_polynomial, rank_exact)
-from .series import (EvalResult, MultiIndex, ProbeResult, TruncatedSeries,
-                     all_indices, coefficient, coefficient_table,
-                     divergence_probe, domain_radius, evaluate, evaluate_phi,
-                     in_domain, phi_series, pochhammer, series_table,
-                     shell_indices)
+from .series import (EvalResult, ProbeResult, TruncatedSeries, all_indices,
+                     coefficient, coefficient_table, divergence_probe,
+                     domain_radius, evaluate, evaluate_phi, in_domain,
+                     phi_series, pochhammer, series_table, shell_indices)
 from .diffops import (EulerFactor, EulerOperatorExpr, EulerTerm,
                       annihilation_residual, apply, apply_poly,
                       coefficient_recurrence_check, operator_l)
@@ -40,9 +37,8 @@ from .charvar import (RankResult, SpecializedPoint, c_chi, expected_hilbert,
                       partial_quotient_dims, pullback_functional_check,
                       pullback_operator, random_generic_point,
                       random_singular_point, rank_at, specialize, symbols)
-from .integral import (DirichletResult, GammaValue, check_integral_hypotheses,
-                       coefficient_via_integral, dirichlet_integral, gamma,
-                       gamma_reciprocal_limit, gamma_value,
-                       reflection_identity_check)
+from .integral import (DirichletResult, check_integral_hypotheses,
+                       coefficient_via_integral, dirichlet_integral,
+                       gamma_value, reflection_identity_check)
 
 __version__ = "0.1.0"

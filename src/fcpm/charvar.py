@@ -29,7 +29,8 @@ from .diffops import (EulerFactor, EulerOperatorExpr, EulerTerm, apply_poly,
                       operator_l, total_theta_factor)
 from .params import check_shape
 from .rings import CycloScalar, GaussianRational, MPoly, rank_exact
-from .singular import evaluate_R_x
+from .series import shell_indices
+from .singular import evaluate_R_x, unirational_point
 
 __all__ = ["SpecializedPoint", "specialize", "pullback_operator",
            "pullback_functional_check", "L_symbol", "symbols",
@@ -193,22 +194,13 @@ def symbols(p, m, z=None):
 # ---------------------------------------------------------------------------
 # Hilbert function via Macaulay matrices
 
-def monomials_of_degree(m, d):
-    """Exponent tuples of total degree d, lexicographic order."""
-    if m == 1:
-        return [(d,)]
-    out = []
-    for first in range(d, -1, -1):
-        for rest in monomials_of_degree(m - 1, d - first):
-            out.append((first,) + rest)
-    return out
-
-
 def _macaulay_rank(gens, m, d, gen_degree):
     """Rank of the sparse rows {column of exp + beta: coefficient} of the
     shifts xi^beta g, g in gens, |beta| = d - deg, in degree d."""
-    index = {exp: i for i, exp in enumerate(monomials_of_degree(m, d))}
-    shifts = monomials_of_degree(m, d - gen_degree)
+    # Columns and shifts in descending lex order; rank_exact eliminates
+    # column by column from the first.
+    index = {exp: i for i, exp in enumerate(list(shell_indices(m, d))[::-1])}
+    shifts = list(shell_indices(m, d - gen_degree))[::-1]
     return rank_exact([{index[tuple(a + b for a, b in zip(exp, beta))]: c
                         for exp, c in g.terms.items()}
                        for g in gens for beta in shifts])
@@ -345,12 +337,6 @@ def random_singular_point(p, m, rng=None):
     """
     rng = rng if rng is not None else random.Random()
     while True:
-        z = [Fraction(rng.randrange(1, 12), rng.choice([2, 3, 5, 7, 11, 13]))
-             * rng.choice([1, -1]) for _ in range(m - 1)]
-        last = 1 - sum(z)
-        if last == 0:
-            continue
-        z.append(last)
-        point = specialize(p, m, tuple(z))
+        point = specialize(p, m, unirational_point(p, m, rng))
         if not point.on_coordinate_axes and point.on_R_zero:
             return point

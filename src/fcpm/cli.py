@@ -69,10 +69,6 @@ def _complex_json(c):
     return [c.real, c.imag]
 
 
-def _scalar_json(v, mode):
-    return scalar_to_json(v, mode)
-
-
 def _envelope(name, argv, result, mode=None, tolerances=None, warnings=()):
     return {
         "schema_version": SCHEMA_VERSION,
@@ -108,8 +104,8 @@ def _cmd_phi(args):
     result = {
         "value": _complex_json(value),
         "label": list(label.display()),
-        "mu": [_scalar_json(v, ps.mode) for v in mu],
-        "sigma": _scalar_json(sigma, ps.mode),
+        "mu": [scalar_to_json(v, ps.mode) for v in mu],
+        "sigma": scalar_to_json(sigma, ps.mode),
     }
     return result, ps.mode, {"tol": args.tol}, []
 
@@ -180,7 +176,7 @@ def _cmd_verify_integral(args):
         worst = max(worst, rel)
         rows.append({
             "n": list(n),
-            "series": _scalar_json(direct, ps.mode),
+            "series": scalar_to_json(direct, ps.mode),
             "integral": _complex_json(via_integral),
             "rel_err": rel,
         })
@@ -243,7 +239,6 @@ def build_parser():
 
     def common(sp, params=True, point=False, exact_point=False, pm=False):
         sp.add_argument("--pretty", action="store_true", help="indent the JSON output")
-        sp.add_argument("--json", action="store_true", help="compact JSON (default)")
         if params:
             sp.add_argument("--params", help="JSON parameter document")
             sp.add_argument("--mode", choices=[EXACT, FLOAT], default=None)

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModeError, ValidationError
-from .params import EXACT, solution_exponents, transform_parameters
-from .rings import GaussianRational, exact_abs, to_complex
-from .series import MultiIndex, TruncatedSeries, all_indices, coefficient_table, phi_series
+from .params import EXACT
+from .rings import GaussianRational
+from .series import TruncatedSeries, all_indices, coefficient_table, phi_series
 
 
 def _scalar_key(c):
@@ -158,7 +158,7 @@ def _coef_nonzero(c):
 
 
 def apply(op, s):
-    """Apply an Euler operator to a frozen TruncatedSeries.
+    """Apply an Euler operator to a TruncatedSeries.
 
     The result is truncated at N - (max monomial degree of op), because a
     monomial x^alpha pushes coefficients up by |alpha| and the top shells
@@ -166,8 +166,6 @@ def apply(op, s):
     The prefactor exponents pass through unchanged; theta eigenvalues are
     shifted by them.
     """
-    if not s.frozen:
-        raise ValidationError("apply needs a frozen series")
     if op.m != s.m:
         raise ValidationError("operator arity mismatch")
     n_out = s.N - op.max_monomial_degree()
@@ -182,15 +180,15 @@ def apply(op, s):
             src = tuple(qi - ai for qi, ai in zip(q, t.monomial))
             if any(e < 0 for e in src):
                 continue
-            v = s.coeffs[MultiIndex(src)]
+            v = s.coeffs[src]
             if not _coef_nonzero(v):
                 continue
             w = t.coef * v
             for f in t.factors:
                 w = w * f.eigenvalue(src, mu)
             acc = acc + w
-        out[MultiIndex(q)] = acc
-    return TruncatedSeries(n_out, s.m, out, mu, s.mode).freeze()
+        out[q] = acc
+    return TruncatedSeries(n_out, s.m, out, mu, s.mode)
 
 
 def apply_poly(op, poly, mu=None):
@@ -268,10 +266,8 @@ def coefficient_recurrence_check(ps, N):
             lhs = Fraction(n[k - 1])
             for j in range(1, ps.p):
                 lhs = lhs * (ps.b(j, k) - 1 + n[k - 1])
-            lhs = lhs * table[MultiIndex(n)]
-            prev = list(n)
-            prev[k - 1] -= 1
-            rhs = table[MultiIndex(prev)]
+            lhs = lhs * table[n]
+            rhs = table[n[:k - 1] + (n[k - 1] - 1,) + n[k:]]
             for i in range(1, ps.p + 1):
                 rhs = rhs * (ps.a_i(i) + total - 1)
             if lhs != rhs:

@@ -27,13 +27,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-from scipy.special import roots_jacobi
-
 from .errors import ConvergenceError, PoleError, ValidationError
-from .params import FLOAT_HEURISTIC_TOL, ParameterSet
-from .rings import GaussianRational, is_integer_rational, to_complex
-from .series import MultiIndex, pochhammer
+from .params import FLOAT_HEURISTIC_TOL
+from .rings import is_integer_rational, to_complex
+from .series import check_index, pochhammer
 
 # Godfrey's 15-coefficient Lanczos set, g = 607/128.
 LANCZOS_G = 607.0 / 128.0
@@ -55,14 +52,6 @@ LANCZOS_COEFFS = (
     0.36899182659531622704e-5,
 )
 
-GAMMA_REL_ERR = 1e-12  # coarse documented bound on the tested grid
-
-
-@dataclass(frozen=True)
-class GammaValue:
-    value: complex
-    rel_err: float
-
 
 def _is_pole(z):
     return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
@@ -82,30 +71,6 @@ def gamma_value(z):
         acc += c / (zz + i)
     t = zz + LANCZOS_G + 0.5
     return math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * cmath.exp(-t) * acc
-
-
-def gamma(zc):
-    """Gamma with a coarse relative-error estimate attached.
-
-    The Lanczos set used here is good to ~1e-13 on the reflection-free
-    half-plane; the reported bound 1e-12 keeps margin for the reflection
-    path. Raises PoleError at nonpositive integers.
-    """
-    return GammaValue(gamma_value(zc), GAMMA_REL_ERR)
-
-
-def gamma_reciprocal_limit(s, N=100000):
-    """Independent slow route: 1/Gamma(s) ~ (s,N) / ((N-1)! N^s).
-
-    Entirely log-space sums, no call into the Lanczos code; converges like
-    |s(s-1)|/(2N), so it is a cross-check oracle, not a fast evaluator.
-    """
-    s = complex(s)
-    log_num = complex(0)
-    for k in range(N):
-        log_num += cmath.log(s + k)
-    log_den = math.fsum(math.log(k) for k in range(1, N)) + s * math.log(N)
-    return cmath.exp(log_num - log_den)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +118,11 @@ def dirichlet_integral(s0, s, tol=1e-8, max_order=512):
 
     Requires Re(s_i) > 0 and Re(s0) > 0 (the classical convergence regime).
     """
+    # Imported here because nothing else needs them and they dominate the
+    # package's import time.
+    import numpy as np
+    from scipy.special import roots_jacobi
+
     s = [complex(v) for v in s]
     s0 = complex(s0)
     if s0.real <= 0 or any(v.real <= 0 for v in s):
@@ -252,10 +222,8 @@ def coefficient_via_integral(ps, n):
     if problems:
         raise ValidationError("integral-representation hypotheses violated: "
                               + "; ".join(problems))
-    n = MultiIndex(n)
-    if len(n) != ps.m:
-        raise ValidationError(f"multi-index arity {len(n)} != m={ps.m}")
-    total = n.total
+    n = check_index(n, ps.m)
+    total = sum(n)
     m = ps.m
     value = complex(1)
     for j in range(1, ps.p):

@@ -311,43 +311,6 @@ def eta(b_col, j):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ReflectionData:
-    """v = 1_p + e_j - e_p and W = p*id - 1*1^t behind the eta maps."""
-    p: int
-    j: int
-    v: tuple
-    W: tuple
-
-
-def reflection_data(p, j):
-    if not 1 <= j <= p:
-        raise IndexError(f"reflection index {j} out of range 1..{p}")
-    v = [1] * p
-    v[j - 1] += 1
-    v[p - 1] -= 1
-    W = tuple(tuple(p - 1 if r == c else -1 for c in range(p)) for r in range(p))
-    return ReflectionData(p, j, tuple(v), W)
-
-
-def eta_via_reflection(b_col, j):
-    """eta computed from its reflection form id - (2/(v^t W v)) v v^t W.
-
-    Agrees with eta() on every column whose last entry is 1 (the linear
-    formula reproduces the affine map exactly on that hyperplane).
-    """
-    p = len(b_col)
-    if j == p:
-        return tuple(b_col)
-    rd = reflection_data(p, j)
-    Wb = [sum(rd.W[r][c] * b_col[c] for c in range(p)) for r in range(p)]
-    vWb = sum(rd.v[r] * Wb[r] for r in range(p))
-    vWv = sum(rd.v[r] * sum(rd.W[r][c] * rd.v[c] for c in range(p)) for r in range(p))
-    if vWv == 0:
-        raise ValidationError("degenerate reflection vector")
-    return tuple(b_col[r] - Fraction(2, vWv) * rd.v[r] * vWb for r in range(p))
-
-
 # ---------------------------------------------------------------------------
 # solution labels
 

@@ -11,21 +11,25 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvarianceError
+from .errors import InvarianceError, ValidationError
 
 
 # ---------------------------------------------------------------------------
 # rational scalar parsing / formatting ("num/den" wire form)
 
 def parse_rational(text):
-    """Parse "3", "-7/4", or an int into a Fraction.
+    """Parse "3", "-7/4", or an int into a Fraction; ValidationError for a
+    malformed string or a zero denominator.
 
     >>> parse_rational("-7/4")
     Fraction(-7, 4)
     """
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"not a rational number: {text!r}") from exc
 
 
 def format_rational(q):
@@ -539,22 +543,3 @@ def _rank_integer(rows):
                         {j: x // c for j, x in r.items()} if c > 1 else r)
     return rank
 
-
-def charpoly_exact(mat):
-    """Ascending coefficients of det(lambda I - A) for a small exact matrix.
-
-    Faddeev-LeVerrier over Fractions: exact, O(n^4), fine for the small
-    matrices this package meets.
-    """
-    n = len(mat)
-    A = [[Fraction(v) for v in row] for row in mat]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    M = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        AM = [[sum(A[i][t] * M[t][j] for t in range(n)) for j in range(n)]
-              for i in range(n)]
-        c = -sum(AM[i][i] for i in range(n)) / k
-        coeffs[n - k] = c
-        M = [[AM[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-    return tuple(coeffs)

@@ -13,15 +13,16 @@ shells, where the tail is geometric with ratio r^p, r = sum_k |x_k|^{1/p}.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BranchError, DomainError, ModeError, ValidationError
-from .params import (EXACT, ParameterSet, SolutionLabel, solution_exponents,
+from .errors import BranchError, DomainError, ValidationError
+from .params import (EXACT, SolutionLabel, solution_exponents,
                      transform_parameters, validate)
-from .rings import GaussianRational, to_complex
+from .rings import GaussianRational, exact_abs, to_complex
 
 DEFAULT_MAX_SHELLS = 500
 MAX_SHELLS_ENV = "FCPM_MAX_SHELLS"
@@ -35,25 +36,6 @@ def max_shells_cap(explicit=None):
     return int(env) if env else DEFAULT_MAX_SHELLS
 
 
-class MultiIndex(tuple):
-    """A vector of m naturals with its total degree cached.
-
-    >>> MultiIndex((2, 0, 1)).total
-    3
-    """
-
-    def __new__(cls, entries):
-        t = super().__new__(cls, (int(e) for e in entries))
-        if any(e < 0 for e in t):
-            raise ValidationError(f"negative entry in multi-index {tuple(t)}")
-        t._total = sum(t)
-        return t
-
-    @property
-    def total(self):
-        return self._total
-
-
 def shell_indices(m, d):
     """All multi-indices of total degree d in lexicographic order."""
     if m == 1:
@@ -62,6 +44,21 @@ def shell_indices(m, d):
     for first in range(d + 1):
         for rest in shell_indices(m - 1, d - first):
             yield (first,) + rest
+
+
+def check_index(n, m):
+    """n as a tuple of m naturals; ValidationError on a negative entry or
+    the wrong arity.
+
+    >>> check_index([2, 0, 1], 3)
+    (2, 0, 1)
+    """
+    n = tuple(int(e) for e in n)
+    if any(e < 0 for e in n):
+        raise ValidationError(f"negative entry in multi-index {n}")
+    if len(n) != m:
+        raise ValidationError(f"multi-index arity {len(n)} != m={m}")
+    return n
 
 
 def all_indices(m, N):
@@ -133,48 +130,74 @@ def _check_valid(ps):
         raise ValidationError("; ".join(problems))
 
 
-def _ratio(ps, n, k, one):
-    """A_n / A_{n-e_k} with |n| the total of n itself (n_k >= 1).
-
-    ratio = prod_i (a_i + |n| - 1) / (n_k * prod_{j<p} (b_{j,k} - 1 + n_k)).
-    """
-    total = sum(n)
-    nk = n[k - 1]
+def _numerator(ps, d, one):
+    """prod_i (a_i + d - 1): the numerator of A_n / A_{n-e_k} for |n| = d."""
     num = one
     for i in range(1, ps.p + 1):
-        num = num * (ps.a_i(i) + (total - 1))
+        num = num * (ps.a_i(i) + (d - 1))
+    return num
+
+
+def _denominator(ps, k, nk, one):
+    """n_k * prod_{j<p} (b_{j,k} - 1 + n_k): the denominator of A_n / A_{n-e_k}
+    (k is 0-based, nk = n_k >= 1)."""
     den = one * nk
     for j in range(1, ps.p):
-        den = den * (ps.b(j, k) + (nk - 1))
-    return num / den
+        den = den * (ps.b(j, k + 1) + (nk - 1))
+    return den
+
+
+def _shells(ps, x=None):
+    """The shell walk: yield {n: A_n x^n} for |n| = 1, 2, ..., or {n: A_n}
+    when x is None.
+
+    Each entry comes from its predecessor n - e_k, k the first nonzero axis
+    of n, through the one-step ratio A_n / A_{n-e_k}; the ratio's numerator
+    is shared by the whole shell. Only the previous shell is kept.
+    """
+    one = ps.one()
+    shell = {(0,) * ps.m: one}
+    d = 0
+    while True:
+        d += 1
+        num = _numerator(ps, d, one)
+        new = {}
+        for n in shell_indices(ps.m, d):
+            k = next(i for i, e in enumerate(n) if e)
+            t = shell[n[:k] + (n[k] - 1,) + n[k + 1:]]
+            if x is not None:
+                t = t * x[k]
+            new[n] = t * (num / _denominator(ps, k, n[k], one))
+        shell = new
+        yield shell
 
 
 def coefficient(ps, n):
     """The series coefficient A_n.
 
     Exact mode: direct Pochhammer product. Float mode: one-step ratio walk
-    from the origin (numerically tamer than naked factorial products).
+    from the origin, axis by axis (numerically tamer than naked factorial
+    products).
     """
     _check_valid(ps)
-    n = MultiIndex(n)
-    if len(n) != ps.m:
-        raise ValidationError(f"multi-index arity {len(n)} != m={ps.m}")
+    n = check_index(n, ps.m)
     if ps.is_exact:
         num = Fraction(1)
         for i in range(1, ps.p + 1):
-            num = num * pochhammer(ps.a_i(i), n.total)
+            num = num * pochhammer(ps.a_i(i), sum(n))
         den = Fraction(1)
         for k in range(1, ps.m + 1):
             for j in range(1, ps.p):
                 den = den * pochhammer(ps.b(j, k), n[k - 1])
             den = den * math.factorial(n[k - 1])
         return num / den
-    value = complex(1)
-    cur = [0] * ps.m
-    for k in range(1, ps.m + 1):
-        for step in range(1, n[k - 1] + 1):
-            cur[k - 1] = step
-            value *= _ratio(ps, cur, k, complex(1))
+    one = complex(1)
+    value = one
+    d = 0
+    for k, nk in enumerate(n):
+        for step in range(1, nk + 1):
+            d += 1
+            value *= _numerator(ps, d, one) / _denominator(ps, k, step, one)
     return value
 
 
@@ -185,25 +208,21 @@ def coefficient_table(ps, N):
     tests cross-check against the direct product.
     """
     _check_valid(ps)
-    one = ps.one()
-    table = {MultiIndex((0,) * ps.m): one}
-    for d in range(1, N + 1):
-        for n in shell_indices(ps.m, d):
-            k = next(i + 1 for i, e in enumerate(n) if e > 0)
-            prev = list(n)
-            prev[k - 1] -= 1
-            table[MultiIndex(n)] = table[MultiIndex(prev)] * _ratio(ps, n, k, one)
+    table = {(0,) * ps.m: ps.one()}
+    for _, shell in zip(range(N), _shells(ps)):
+        table.update(shell)
     return table
 
 
 # ---------------------------------------------------------------------------
 # truncated series
 
-@dataclass
+@dataclass(frozen=True)
 class TruncatedSeries:
     """Coefficients on all |n| <= N plus prefactor exponents (mu for Phi_J).
 
-    Mutable until freeze(); Euler-operator application requires frozen input.
+    Indices missing from coeffs are filled with zero; an index beyond N is
+    a ValidationError.
     """
 
     N: int
@@ -211,53 +230,41 @@ class TruncatedSeries:
     coeffs: dict
     prefactor_exponents: tuple
     mode: str
-    _frozen: bool = False
 
     def __post_init__(self):
-        want = {MultiIndex(n) for n in all_indices(self.m, self.N)}
-        missing = want - set(self.coeffs)
         zero = Fraction(0) if self.mode == EXACT else complex(0)
-        for n in missing:
-            self.coeffs[n] = zero
+        for n in all_indices(self.m, self.N):
+            self.coeffs.setdefault(n, zero)
         extra = [n for n in self.coeffs if sum(n) > self.N]
         if extra:
             raise ValidationError(f"coefficient beyond truncation order: {extra[0]}")
 
-    def freeze(self):
-        self._frozen = True
-        return self
-
-    @property
-    def frozen(self):
-        return self._frozen
-
     def __getitem__(self, n):
-        return self.coeffs[MultiIndex(n)]
+        return self.coeffs[tuple(n)]
 
     def scale(self, c):
         return TruncatedSeries(self.N, self.m,
                                {n: v * c for n, v in self.coeffs.items()},
-                               self.prefactor_exponents, self.mode).freeze()
+                               self.prefactor_exponents, self.mode)
 
     def add(self, other):
         if (other.N, other.m, other.prefactor_exponents) != (self.N, self.m, self.prefactor_exponents):
             raise ValidationError("series shapes differ")
         return TruncatedSeries(self.N, self.m,
                                {n: v + other.coeffs[n] for n, v in self.coeffs.items()},
-                               self.prefactor_exponents, self.mode).freeze()
+                               self.prefactor_exponents, self.mode)
 
     def max_abs(self):
-        from .rings import exact_abs
         if self.mode == EXACT:
             return max((exact_abs(v) for v in self.coeffs.values()), default=Fraction(0))
         return max((abs(v) for v in self.coeffs.values()), default=0.0)
 
 
 def series_table(ps, N):
-    """The plain series as a frozen TruncatedSeries (zero prefactor)."""
+    """The plain series as a TruncatedSeries (zero prefactor)."""
     zero = ps.zero()
     pref = tuple(zero for _ in range(ps.m))
-    return TruncatedSeries(N, ps.m, coefficient_table(ps, N), pref, ps.mode).freeze()
+    return TruncatedSeries(N, ps.m, coefficient_table(ps, N), pref, ps.mode)
 
 
 def phi_series(ps, J, N):
@@ -268,7 +275,7 @@ def phi_series(ps, J, N):
     """
     mu, _ = solution_exponents(ps, J)
     tps = transform_parameters(ps, J)
-    return TruncatedSeries(N, ps.m, coefficient_table(tps, N), tuple(mu), ps.mode).freeze()
+    return TruncatedSeries(N, ps.m, coefficient_table(tps, N), tuple(mu), ps.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -315,29 +322,17 @@ def evaluate(ps, x, tol=1e-10, max_shells=None):
         raise DomainError(f"sum |x_k|^(1/p) = {r:.6g} >= 1: outside the convergence domain")
     q = r ** ps.p
     geom = q / (1.0 - q)
-    pf = ps.as_float()
     cap = max_shells_cap(max_shells)
 
-    shell = {(0,) * ps.m: complex(1)}
+    walk = _shells(ps.as_float(), x)
     value = complex(1)
-    tail = 1.0 * geom
+    tail = geom
     used = 0
-    d = 0
-    while tail >= tol and d < cap:
-        d += 1
-        new = {}
-        shell_abs = 0.0
-        for n in shell_indices(ps.m, d):
-            k = next(i + 1 for i, e in enumerate(n) if e > 0)
-            prev = list(n)
-            prev[k - 1] -= 1
-            t = shell[tuple(prev)] * x[k - 1] * _ratio(pf, n, k, complex(1))
-            new[n] = t
-            shell_abs += abs(t)
-        value += sum(new.values())
-        shell = new
-        tail = shell_abs * geom
-        used = d
+    while tail >= tol and used < cap:
+        shell = next(walk)
+        used += 1
+        value += sum(shell.values())
+        tail = sum(abs(t) for t in shell.values()) * geom
     return EvalResult(value, used, tail)
 
 
@@ -380,33 +375,10 @@ def divergence_probe(ps, x, shells=60):
     """
     _check_valid(ps)
     x = tuple(complex(v) for v in x)
-    pf = ps.as_float()
-    shell = {(0,) * ps.m: complex(1)}
-    first = 1.0
     overall = 1.0
     last = 1.0
-    for d in range(1, shells + 1):
-        new = {}
-        for n in shell_indices(ps.m, d):
-            k = next(i + 1 for i, e in enumerate(n) if e > 0)
-            prev = list(n)
-            prev[k - 1] -= 1
-            new[n] = shell[tuple(prev)] * x[k - 1] * _ratio(pf, n, k, complex(1))
-        shell = new
+    for shell in itertools.islice(_shells(ps.as_float(), x), shells):
         last = max(abs(t) for t in shell.values())
         overall = max(overall, last)
-    return ProbeResult(overall, last >= 10.0 * first)
+    return ProbeResult(overall, last >= 10.0)
 
-
-def lauricella_fc_coefficient(a1, a2, c_cols, n):
-    """Independent p=2 cross-check: (a1,|n|)(a2,|n|) / prod_k (c_k,n_k) n_k!.
-
-    The classical m-variable coefficient with denominators c_k = b_{1,k}.
-    Exact for exact inputs.
-    """
-    n = MultiIndex(n)
-    num = pochhammer(a1, n.total) * pochhammer(a2, n.total)
-    den = Fraction(1)
-    for ck, nk in zip(c_cols, n):
-        den = den * pochhammer(ck, nk) * math.factorial(nk)
-    return num / den

@@ -5,7 +5,7 @@ import pytest
 
 from fcpm.charvar import (INFINITE, L_symbol, c_chi, default_dmax,
                           expected_hilbert, expected_partial, hilbert_function,
-                          monomials_of_degree, partial_quotient_dims,
+                          partial_quotient_dims,
                           pullback_functional_check, pullback_operator,
                           random_generic_point, random_singular_point, rank_at,
                           specialize, symbols)
@@ -230,14 +230,6 @@ def test_rank_at_pinned_hilbert(p, m, z, H):
     drop = H[-1] > 0
     assert r.drop == drop
     assert r.rank == (INFINITE if drop else p ** m)
-
-
-def test_monomials_of_degree_count():
-    import math
-    for m in (1, 2, 3):
-        for d in (0, 1, 4):
-            mons = monomials_of_degree(m, d)
-            assert len(mons) == math.comb(d + m - 1, m - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,23 @@ def test_shape_errors_are_validation_errors(argv, message, capsys):
                for w in env["diagnostics"]["warnings"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rank-check", "--p", "2", "--m", "2", "--z", "[abc,1]"], "'abc'"),
+    (["rank-check", "--p", "2", "--m", "2", "--z", "[1/0,1]"], "'1/0'"),
+    (["eval", "--params", "@bad.json", "--x", "[0.1]"], "'1/0'"),
+])
+def test_bad_rationals_are_validation_errors(argv, message, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"p": 2, "m": 1, "a": ["1/2", "1/0"], "B": [["1/5"]]}))
+    code = cli.run([str(bad) if a == "@bad.json" else a for a in argv])
+    assert code == 2
+    env = json.loads(capsys.readouterr().out)
+    assert env["command"]["name"] == argv[0]
+    assert env["result"] is None
+    assert any(w.startswith("ValidationError") and message in w
+               for w in env["diagnostics"]["warnings"])
+
+
 def test_eval_with_params_file(tmp_path):
     path, ps = params_file(tmp_path, 2, 2)
     code, env = dispatch("eval", "--params", path, "--x", "[0.1,0.05]")

@@ -98,18 +98,6 @@ def test_apply_theta_examples():
     assert out[(3,)] == 3 * s[(3,)]
 
 
-def test_apply_requires_frozen():
-    ps = gauss_ps()
-    s = series_table(ps, 3)
-    th = EulerOperatorExpr(1, [EulerTerm(F(1), (0,), (theta_factor(1, 1),))])
-    apply(th, s)  # table is frozen by construction
-    from fcpm.series import TruncatedSeries
-    from fcpm.errors import ValidationError
-    loose = TruncatedSeries(1, 1, {(0,): F(1), (1,): F(0)}, (F(0),), "exact")
-    with pytest.raises(ValidationError):
-        apply(th, loose)
-
-
 def test_apply_truncates_by_monomial_degree():
     ps = gauss_ps()
     s = series_table(ps, 5)

@@ -8,10 +8,11 @@ import pytest
 
 from fcpm.errors import ConvergenceError, PoleError, ValidationError
 from fcpm.integral import (check_integral_hypotheses, coefficient_via_integral,
-                           dirichlet_integral, gamma, gamma_reciprocal_limit,
-                           gamma_value, reflection_identity_check)
+                           dirichlet_integral, gamma_value,
+                           reflection_identity_check)
 from fcpm.params import parameter_set, random_generic_parameters
 from fcpm.series import all_indices, coefficient
+from oracles import gamma, gamma_reciprocal_limit
 
 F = Fraction
 
@@ -173,6 +174,13 @@ def test_coefficient_via_integral_rejects_bad_params():
     with pytest.raises(ValidationError) as e:
         coefficient_via_integral(ps, (1,))
     assert "a_1" in str(e.value)
+
+
+@pytest.mark.parametrize("n", [(2, -1), (1,), (0, 0, 0)])
+def test_coefficient_via_integral_rejects_bad_index(n):
+    ps = random_generic_parameters(2, 2, random.Random(73))
+    with pytest.raises(ValidationError):
+        coefficient_via_integral(ps, n)
 
 
 def test_coefficient_via_integral_normalization():

@@ -6,12 +6,12 @@ import pytest
 from fcpm.errors import ValidationError
 from fcpm.params import (GenericityReport, ParameterSet, SolutionLabel,
                          all_labels, check_nonintegrality, coerce_exact,
-                         coerce_float, eta, eta_via_reflection, mu_table,
-                         parameter_set, parameters_from_json,
-                         random_generic_parameters, reflection_data,
+                         coerce_float, eta, mu_table, parameter_set,
+                         parameters_from_json, random_generic_parameters,
                          require_generic, solution_exponents,
                          transform_parameters, validate)
-from fcpm.rings import GaussianRational, charpoly_exact
+from fcpm.rings import GaussianRational
+from oracles import charpoly_exact, eta_via_reflection, reflection_data
 
 F = Fraction
 

@@ -6,10 +6,12 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fcpm.rings import (CycloScalar, GaussianRational, MPoly, charpoly_exact,
-                        cyclo_reduce, cyclotomic_polynomial, exact_abs,
-                        format_rational, is_integer_rational,
-                        parse_rational, rank_exact, to_complex)
+from fcpm.errors import ValidationError
+from fcpm.rings import (CycloScalar, GaussianRational, MPoly, cyclo_reduce,
+                        cyclotomic_polynomial, exact_abs, format_rational,
+                        is_integer_rational, parse_rational, rank_exact,
+                        to_complex)
+from oracles import charpoly_exact
 
 
 # ---------------------------------------------------------------------------
@@ -23,8 +25,10 @@ def test_parse_format_roundtrip():
 
 
 def test_parse_rational_rejects_garbage():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         parse_rational("one half")
+    with pytest.raises(ValidationError):
+        parse_rational("1/0")
 
 
 def test_is_integer_rational():

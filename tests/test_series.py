@@ -11,10 +11,10 @@ from fcpm.params import (SolutionLabel, all_labels, parameter_set,
 from fcpm.rings import GaussianRational
 from fcpm.series import (TruncatedSeries, all_indices, coefficient,
                          coefficient_table, divergence_probe, domain_radius,
-                         evaluate, evaluate_phi, in_domain,
-                         lauricella_fc_coefficient, max_shells_cap,
+                         evaluate, evaluate_phi, in_domain, max_shells_cap,
                          phi_series, pochhammer, pochhammer_scaled,
                          series_table, shell_indices)
+from oracles import lauricella_fc_coefficient
 
 F = Fraction
 
@@ -71,6 +71,14 @@ def test_pochhammer_scaled_overflow_safe():
 
 # ---------------------------------------------------------------------------
 # coefficients
+
+@pytest.mark.parametrize("n", [(1, -1), (1,), (0, 0, 0)])
+def test_coefficient_rejects_bad_index(n):
+    ps = parameter_set([F(1, 2), F(1, 3)], [[F(1, 5), F(1, 7)]])
+    for mode_ps in (ps, ps.as_float()):
+        with pytest.raises(ValidationError):
+            coefficient(mode_ps, n)
+
 
 def test_coefficient_at_zero_is_one():
     for (p, m), seed in [((2, 1), 0), ((2, 2), 1), ((3, 2), 2)]:
@@ -153,7 +161,6 @@ def test_lauricella_formula_cross_check():
 def test_series_table_zero_fill_and_freeze():
     ps = gauss_ps()
     s = series_table(ps, 4)
-    assert s.frozen
     assert s[(0,)] == 1
     with pytest.raises(KeyError):
         s[(5,)]  # beyond the truncation order
@@ -299,3 +306,38 @@ def test_divergence_probe_just_outside():
     ps2 = parameter_set([F(1, 2), F(1, 3)], [[F(1, 5), F(1, 7)]])
     # r = 2*sqrt(0.3) > 1
     assert divergence_probe(ps2, (0.3, 0.3), shells=60).growing
+
+
+# ---------------------------------------------------------------------------
+# pinned floating-point outputs of the shell walk (float.hex, so any change
+# in the order of operations shows)
+
+PINNED_EVALUATIONS = [
+    (([F(1, 2), F(1, 3)], [[F(1, 5)]]), (0.9025j,),
+     227, "0x1.4e50683d0a4aap-1", "0x1.edadd1f05959fp-2", "0x1.9e6163afda3dep-34"),
+    (([F(1, 2), F(1, 3), F(1, 7)], [[F(1, 5)], [F(2, 11)]]), (-0.729,),
+     70, "0x1.641d5d492b31cp-1", "0x0.0p+0", "0x1.84a157065fa42p-34"),
+    (([F(1, 2), F(1, 4)], [[F(1, 5), F(2, 7)]]), (0.1444, -0.3249),
+     226, "0x1.b7fb839467f27p-1", "0x0.0p+0", "0x1.a1939d9ea5db1p-34"),
+    (([F(1, 2), F(1, 4)], [[F(1, 5), F(2, 7)]]), (0.05 + 0.02j, 0.01 - 0.03j),
+     12, "0x1.0a9f0e34cb5c1p+0", "-0x1.8e2a4abeca3d5p-8", "0x1.b2389ee0bd60dp-36"),
+    (([F(3, 4), F(1, 3)], [[F(1, 5), F(2, 7), F(3, 11)]]), (0.0576, 0.0576j, 0.1024),
+     55, "0x1.28a4b4141c91cp+0", "0x1.48d966bc455edp-2", "0x1.3a3a6ec3b4e79p-34"),
+]
+
+
+@pytest.mark.parametrize("ab, x, n_used, re, im, tail", PINNED_EVALUATIONS)
+def test_evaluate_pinned_bits(ab, x, n_used, re, im, tail):
+    res = evaluate(parameter_set(*ab), x)
+    assert res.N_used == n_used
+    assert (res.value.real.hex(), res.value.imag.hex(), res.tail_bound.hex()) == (re, im, tail)
+
+
+@pytest.mark.parametrize("ab, x, shells, max_term, growing", [
+    (([F(1, 2), F(1, 4)], [[F(1, 5), F(2, 7)]]), (0.3, 0.3), 60, "0x1.594e05988dd56p+10", True),
+    (([F(5, 2), F(7, 3)], [[F(1, 5), F(2, 7)]]), (0.1, 0.1j), 30, "0x1.7d1c71c71c71fp+3", False),
+    (([F(5, 2), F(7, 3)], [[F(1, 5), F(2, 7)]]), (0.2, -0.15j), 25, "0x1.5922259312b5dp+7", True),
+])
+def test_divergence_probe_pinned_bits(ab, x, shells, max_term, growing):
+    res = divergence_probe(parameter_set(*ab), x, shells=shells)
+    assert (res.max_term.hex(), res.growing) == (max_term, growing)
