@@ -40,16 +40,23 @@ def _parse_vector(text, exact=False):
         if body.startswith("[") and body.endswith("]"):
             body = body[1:-1]
         doc = [part.strip() for part in body.split(",") if part.strip()]
+    if not isinstance(doc, list):
+        raise ValidationError(f"not a vector: {text!r}")
     out = []
     for v in doc:
-        if exact:
-            out.append(parse_rational(v) if isinstance(v, str) else Fraction(v))
-        elif isinstance(v, (list, tuple)) and len(v) == 2:
-            out.append(complex(float(v[0]), float(v[1])))
-        elif isinstance(v, str):
-            out.append(complex(parse_rational(v)))
-        else:
-            out.append(complex(v))
+        try:
+            if isinstance(v, str):
+                q = parse_rational(v)
+                out.append(q if exact else complex(q))
+            elif exact:
+                out.append(Fraction(v))
+            elif isinstance(v, list) and len(v) == 2:
+                out.append(complex(float(v[0]), float(v[1])))
+            else:
+                out.append(complex(v))
+        except (TypeError, ValueError, OverflowError):
+            kind = "rational" if exact else "number or [re, im] pair"
+            raise ValidationError(f"vector entry {v!r} is not a {kind}") from None
     return out
 
 
@@ -91,7 +98,11 @@ def _cmd_eval(args):
     res = series.evaluate(ps, x, tol=args.tol, max_shells=args.max_shells)
     result = {"value": _complex_json(res.value), "N_used": res.N_used,
               "tail_bound": res.tail_bound}
-    return result, ps.mode, {"tol": args.tol}, []
+    warnings = []
+    if res.N_used >= series.max_shells_cap(args.max_shells) and res.tail_bound >= args.tol:
+        warnings.append(f"not converged: stopped at the shell cap N_used = {res.N_used} "
+                        f"with tail_bound = {res.tail_bound:.3g} >= tol = {args.tol:g}")
+    return result, ps.mode, {"tol": args.tol}, warnings
 
 
 def _cmd_phi(args):
@@ -227,8 +238,19 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ValidationError (one envelope, exit 2) and
+    takes no abbreviated options."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="fcpm",
         description="Series, solutions, singular locus, and verification "
                     "commands for the F_C family of hypergeometric systems.")
@@ -288,13 +310,15 @@ def build_parser():
 
 def _dispatch(argv):
     """Compute the envelope for argv. Returns (exit_code, envelope)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+        if not (args.check or args.cmd):
+            raise ValidationError("no subcommand given (see fcpm --help)")
+    except ValidationError as exc:
+        name = next((a for a in argv if a in _COMMANDS), "fcpm")
+        return 2, _envelope(name, argv, None, None, {}, [f"ValidationError: {exc}"])
     if args.check:
         return _replay(args.check, argv)
-    if not args.cmd:
-        parser.print_usage(sys.stderr)
-        return 2, None
     name = args.cmd
     try:
         result, mode, tolerances, warnings = _COMMANDS[name](args)

@@ -328,8 +328,12 @@ class SolutionLabel:
 
     @classmethod
     def from_display(cls, p, seq):
-        """Read a displayed label where 0 stands for p."""
-        return cls(p, tuple(p if int(j) == 0 else int(j) for j in seq))
+        """Read a displayed label where 0 stands for p; ValidationError on a
+        non-integral entry."""
+        for j in seq:
+            if j != int(j):
+                raise ValidationError(f"label entry {j} is not an integer")
+        return cls(p, tuple(int(j) or p for j in seq))
 
     def display(self):
         return tuple(0 if j == self.p else j for j in self.entries)

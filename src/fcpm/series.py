@@ -148,26 +148,47 @@ def _denominator(ps, k, nk, one):
 
 
 def _shells(ps, x=None):
-    """The shell walk: yield {n: A_n x^n} for |n| = 1, 2, ..., or {n: A_n}
-    when x is None.
+    """The shell walk: yield [A_n x^n for n in shell_indices(m, d)] for
+    d = 1, 2, ..., or [A_n ...] when x is None.
 
     Each entry comes from its predecessor n - e_k, k the first nonzero axis
-    of n, through the one-step ratio A_n / A_{n-e_k}; the ratio's numerator
-    is shared by the whole shell. Only the previous shell is kept.
+    of n, through the one-step ratio A_n / A_{n-e_k}. In lexicographic
+    order the entries of shell d with first nonzero axis k are the entries
+    of shell d-1 with no nonzero axis before k, in order, each stepped
+    along e_k: its block with n_k = f-1 becomes the block with n_k = f. So a
+    shell is one list comprehension per axis over a prefix of the previous
+    shell, and needs no index bookkeeping. The ratio's numerator is shared
+    by the whole shell; each denominator is computed once per walk.
     """
     one = ps.one()
-    shell = {(0,) * ps.m: one}
+    m = ps.m
+    dens = [[None] for _ in range(m)]  # dens[k][f]: denominator at n_k = f
+    shell = [one]
     d = 0
     while True:
         d += 1
         num = _numerator(ps, d, one)
-        new = {}
-        for n in shell_indices(ps.m, d):
-            k = next(i for i, e in enumerate(n) if e)
-            t = shell[n[:k] + (n[k] - 1,) + n[k + 1:]]
-            if x is not None:
-                t = t * x[k]
-            new[n] = t * (num / _denominator(ps, k, n[k], one))
+        new = []
+        for k in reversed(range(m)):
+            dk = dens[k]
+            dk.append(_denominator(ps, k, d, one))
+            # With j axes after k, the block of the prefix with n_k = f-1 has
+            # comb(d-f+j-1, j-1) entries: one at f = d for j = 0, one per f
+            # for j = 1. zip stops where the ratios, and so the prefix, end.
+            j = m - k - 1
+            if j == 0:
+                ratios = [num / dk[d]]
+            elif j == 1:
+                ratios = [num / den for den in dk[1:]]
+            else:
+                ratios = []
+                for f in range(1, d + 1):
+                    ratios += [num / dk[f]] * math.comb(d - f + j - 1, j - 1)
+            if x is None:
+                new += [t * r for t, r in zip(shell, ratios)]
+            else:
+                xk = x[k]
+                new += [t * xk * r for t, r in zip(shell, ratios)]
         shell = new
         yield shell
 
@@ -209,8 +230,8 @@ def coefficient_table(ps, N):
     """
     _check_valid(ps)
     table = {(0,) * ps.m: ps.one()}
-    for _, shell in zip(range(N), _shells(ps)):
-        table.update(shell)
+    for d, shell in zip(range(1, N + 1), _shells(ps)):
+        table.update(zip(shell_indices(ps.m, d), shell))
     return table
 
 
@@ -331,8 +352,8 @@ def evaluate(ps, x, tol=1e-10, max_shells=None):
     while tail >= tol and used < cap:
         shell = next(walk)
         used += 1
-        value += sum(shell.values())
-        tail = sum(abs(t) for t in shell.values()) * geom
+        value += sum(shell)
+        tail = sum(map(abs, shell)) * geom
     return EvalResult(value, used, tail)
 
 
@@ -378,7 +399,7 @@ def divergence_probe(ps, x, shells=60):
     overall = 1.0
     last = 1.0
     for shell in itertools.islice(_shells(ps.as_float(), x), shells):
-        last = max(abs(t) for t in shell.values())
+        last = max(map(abs, shell))
         overall = max(overall, last)
     return ProbeResult(overall, last >= 10.0)
 

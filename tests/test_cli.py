@@ -92,6 +92,48 @@ def test_bad_rationals_are_validation_errors(argv, message, tmp_path, capsys):
                for w in env["diagnostics"]["warnings"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rank-check", "--p", "2", "--m", "2", "--z", "[[1,2],1]"], "[1, 2]"),
+    (["domain-check", "--p", "2", "--m", "2", "--x", "[[1,2,3],0.1]"], "[1, 2, 3]"),
+    (["phi", "--params", "@params.json", "--label", "[3/2,0]", "--x", "[0.1,0.05]"],
+     "label entry 3/2 is not an integer"),
+    (["eval", "--params", "@params.json"], "required: --x"),
+    (["eval", "--p", "2", "--x", "[0.1,0.05]"], "unrecognized arguments: --p 2"),
+    ([], "no subcommand"),
+])
+def test_malformed_input_is_validation_error(argv, message, tmp_path, capsys):
+    path, _ = params_file(tmp_path, 2, 2)
+    code = cli.run([path if a == "@params.json" else a for a in argv])
+    assert code == 2
+    env = json.loads(capsys.readouterr().out)
+    assert env["command"]["name"] == (argv[0] if argv else "fcpm")
+    assert env["result"] is None
+    assert any(w.startswith("ValidationError") and message in w
+               for w in env["diagnostics"]["warnings"])
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["eval", "--help"])
+    assert exc.value.code == 0
+    assert "--max-shells" in capsys.readouterr().out
+
+
+def test_capped_eval_warns(tmp_path):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"p": 2, "m": 2, "a": ["1/3", "2/5"], "B": [["3/7", "5/11"]]}))
+    code, env = dispatch("eval", "--params", str(path), "--x", "[0.3,0.2]")
+    assert code == 0
+    res = env["result"]
+    assert set(res) == {"value", "N_used", "tail_bound"}
+    assert res["N_used"] == 500 and res["tail_bound"] >= 1e-10
+    [warning] = env["diagnostics"]["warnings"]
+    assert "N_used = 500" in warning and f"tail_bound = {res['tail_bound']:.3g}" in warning
+    code, env = dispatch("eval", "--params", str(path), "--x", "[0.3,0.2]", "--tol", "0.01")
+    assert code == 0 and env["result"]["N_used"] < 500
+    assert env["diagnostics"]["warnings"] == []
+
+
 def test_eval_with_params_file(tmp_path):
     path, ps = params_file(tmp_path, 2, 2)
     code, env = dispatch("eval", "--params", path, "--x", "[0.1,0.05]")

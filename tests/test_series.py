@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -115,9 +116,10 @@ def test_coefficient_against_sympy():
 
 def test_coefficient_table_matches_direct():
     # the recurrence walk and the direct Pochhammer product must agree
-    for (p, m), seed in [((2, 2), 4), ((3, 2), 5)]:
+    for (p, m), seed in [((2, 2), 4), ((3, 2), 5), ((2, 4), 6), ((3, 3), 7)]:
         ps = random_generic_parameters(p, m, random.Random(seed))
         table = coefficient_table(ps, 6)
+        assert list(table) == list(all_indices(m, 6))
         for n in all_indices(m, 6):
             assert table[n] == coefficient(ps, n)
 
@@ -312,6 +314,9 @@ def test_divergence_probe_just_outside():
 # pinned floating-point outputs of the shell walk (float.hex, so any change
 # in the order of operations shows)
 
+PARAMS_33 = ([F(1, 3), F(3, 7), F(2, 5)],
+             [[F(1, 5), F(2, 7), F(3, 11)], [F(5, 13), F(7, 17), F(9, 19)]])
+
 PINNED_EVALUATIONS = [
     (([F(1, 2), F(1, 3)], [[F(1, 5)]]), (0.9025j,),
      227, "0x1.4e50683d0a4aap-1", "0x1.edadd1f05959fp-2", "0x1.9e6163afda3dep-34"),
@@ -323,6 +328,11 @@ PINNED_EVALUATIONS = [
      12, "0x1.0a9f0e34cb5c1p+0", "-0x1.8e2a4abeca3d5p-8", "0x1.b2389ee0bd60dp-36"),
     (([F(3, 4), F(1, 3)], [[F(1, 5), F(2, 7), F(3, 11)]]), (0.0576, 0.0576j, 0.1024),
      55, "0x1.28a4b4141c91cp+0", "0x1.48d966bc455edp-2", "0x1.3a3a6ec3b4e79p-34"),
+    (([F(1, 2), F(2, 9)], [[F(1, 5), F(2, 7), F(3, 11), F(4, 13)]]),
+     (0.04, -0.0225j, 0.0361, 0.01 + 0.01j),
+     26, "0x1.0de3640332efdp+0", "-0x1.cef580b63e4aap-7", "0x1.e10db41d39619p-35"),
+    (PARAMS_33, (0.02, -0.008 + 0.012j, 0.015),
+     26, "0x1.02f5363d417d2p+0", "0x1.33665c3d3a568p-6", "0x1.47e4540f5111dp-34"),
 ]
 
 
@@ -341,3 +351,13 @@ def test_evaluate_pinned_bits(ab, x, n_used, re, im, tail):
 def test_divergence_probe_pinned_bits(ab, x, shells, max_term, growing):
     res = divergence_probe(parameter_set(*ab), x, shells=shells)
     assert (res.max_term.hex(), res.growing) == (max_term, growing)
+
+
+def test_float_coefficient_table_pinned_bits():
+    table = coefficient_table(parameter_set(*PARAMS_33).as_float(), 6)
+    assert list(table) == list(all_indices(3, 6))
+    assert table[(3, 0, 2)].real.hex() == "0x1.b3f4a64ca024bp+11"
+    assert table[(6, 0, 0)].real.hex() == "0x1.93c158a42218fp-2"
+    bits = "|".join(f"{v.real.hex()},{v.imag.hex()}" for v in table.values())
+    assert hashlib.sha256(bits.encode()).hexdigest() == \
+        "c0d603cdf3f7790455c46a8430c580c1580121e9c4e57e0672c426aa61a37857"
